@@ -11,8 +11,8 @@ import (
 )
 
 // campaignGoroutines snapshots all goroutine stacks and returns those
-// still inside campaign actors or engines — the two long-lived
-// goroutines each campaign owns. After every in-process server has shut
+// still inside campaign actors or stepping goroutines — the goroutines
+// a campaign owns. After every in-process server has shut
 // down, none may survive.
 func campaignGoroutines() []string {
 	buf := make([]byte, 1<<20)
@@ -24,7 +24,7 @@ func campaignGoroutines() []string {
 	var out []string
 	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
 		if strings.Contains(g, "serve.(*Campaign).actor") ||
-			strings.Contains(g, "serve.(*Campaign).engine") {
+			strings.Contains(g, "serve.(*Campaign).run") {
 			out = append(out, g)
 		}
 	}

@@ -92,7 +92,7 @@ func runClient(cfg clientConfig) error {
 		case err != nil:
 			return fmt.Errorf("drive: suggest: %w", err)
 		case code == http.StatusConflict:
-			// No pending suggestion: the engine is fitting, replaying,
+			// No pending suggestion: a step is fitting, the journal is replaying,
 			// or done — poll status to find out which.
 			var st serve.CampaignStatus
 			if _, err := getJSON(client, cfg.baseURL+"/campaigns/"+created.ID, &st); err != nil {

@@ -1,7 +1,8 @@
 // Command alserve hosts concurrent Active Learning campaigns over HTTP.
 //
-// A campaign is one al.RunOnline realization. In dataset mode the server
-// measures points itself against a registered dataset generator; in
+// A campaign is one al.Session realization, stepped one measurement at
+// a time — the same loop al.Run and al.RunOnline drive. In dataset mode
+// the server measures points itself against a registered generator; in
 // client mode the server publishes suggestions and the client POSTs the
 // measured responses, so a lab harness (or a person at a terminal) can
 // be the oracle. Every model update is checkpointed to -checkpoint-dir
@@ -28,7 +29,7 @@
 // operator poisson1, NP = 32, log10 size × frequency → log10 runtime)
 // is registered at startup next to the built-in "synthetic" generator.
 //
-// SIGINT/SIGTERM drain in-flight requests, stop every campaign engine,
+// SIGINT/SIGTERM drain in-flight requests, stop every campaign,
 // flush final checkpoints, and dump obs metrics to the -metrics sink.
 package main
 
@@ -64,7 +65,7 @@ func main() {
 	cacheSize := flag.Int("cache", 4096, "prediction LRU capacity in points")
 	scoreWorkers := flag.Int("score-workers", 0, "workers per scoring call (0 = all cores)")
 	maxScores := flag.Int("max-scores", 0, "concurrent scoring operations across all campaigns (0 = GOMAXPROCS)")
-	parallel := flag.Bool("parallel", true, "score candidates on all cores inside campaign engines")
+	parallel := flag.Bool("parallel", true, "score candidates on all cores inside campaign steps")
 	metrics := flag.String("metrics", "", "write obs spans/events/metrics to this JSONL file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "graceful drain deadline on SIGINT/SIGTERM")

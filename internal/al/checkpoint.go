@@ -246,28 +246,32 @@ func ResumeFrom(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, ck 
 		return Result{}, errors.New("al: checkpoint carries no fitted model state")
 	}
 
-	st := &loopState{
-		train:      append([]int(nil), ck.Train...),
-		trainY:     append([]float64(nil), ck.TrainY...),
-		pool:       append([]int(nil), ck.Pool...),
-		cumCost:    ck.CumCost,
-		amsdHist:   append([]float64(nil), ck.AMSDHist...),
-		attempts:   ck.Attempts,
-		hasPending: ck.HasPending,
-		pendingY:   ck.PendingY,
-		refitHyper: append([]float64(nil), ck.RefitHyper...),
-		refitLogSN: ck.RefitLogSN,
-		refitN:     ck.RefitN,
-		startIter:  ck.NextIter,
+	// The session starts from the full Active pool (its iteration bound
+	// defaults from it, as in the uninterrupted run); the loop state and
+	// the RNG position are then the checkpoint's.
+	prob := datasetProblem(ds, part, c.Response)
+	prob.Train, prob.TrainY = ck.Train, ck.TrainY
+	cfg.Seed = ck.Seed
+	s, err := NewSession(prob, cfg, nil)
+	if err != nil {
+		return Result{}, err
 	}
-	if st.attempts == nil {
-		st.attempts = map[int]int{}
+	s.rng, s.cs = newCountingRand(ck.Seed, ck.Draws)
+	s.pool = append(make([]int, 0, len(ck.Pool)), ck.Pool...)
+	s.cumCost = ck.CumCost
+	s.amsdHist = append([]float64(nil), ck.AMSDHist...)
+	if ck.Attempts != nil {
+		s.attempts = ck.Attempts
 	}
-	if ck.HasPending {
-		st.pendingX = append([]float64(nil), ck.PendingX...)
-	}
+	s.hasPending = ck.HasPending
+	s.pendingX = append([]float64(nil), ck.PendingX...)
+	s.pendingY = ck.PendingY
+	s.refitHyper = append([]float64(nil), ck.RefitHyper...)
+	s.refitLogSN = ck.RefitLogSN
+	s.refitN = ck.RefitN
+	s.iter = ck.NextIter
 	for _, r := range ck.Records {
-		st.records = append(st.records, FromJSONRecord(r))
+		s.records = append(s.records, FromJSONRecord(r))
 	}
 
 	// Rebuild the model exactly: an exact-hyperparameter fit over the
@@ -275,34 +279,29 @@ func ResumeFrom(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, ck 
 	// incremental update chain the live loop ran. The pending point
 	// (when present) is deliberately NOT conditioned in here — the
 	// first resumed iteration consumes it, as the live loop would have.
-	modelN := len(st.train)
-	if st.hasPending {
+	modelN := len(s.train)
+	if s.hasPending {
 		modelN--
 	}
-	if modelN < st.refitN {
-		return Result{}, fmt.Errorf("al: checkpoint model covers %d points but refit prefix is %d", modelN, st.refitN)
+	if modelN < s.refitN {
+		return Result{}, fmt.Errorf("al: checkpoint model covers %d points but refit prefix is %d", modelN, s.refitN)
 	}
-	dims := len(ds.VarNames())
-	gcfg := gp.Config{Kernel: c.NewKernel(dims), Normalize: c.Normalize}
-	trainX := ds.Matrix(st.train)
-	prefixX := ds.Matrix(st.train[:st.refitN])
-	fitter := newModelFitter(c)
-	model, err := fitter.atHypers(gcfg, prefixX, st.trainY[:st.refitN], ck.RefitHyper, ck.RefitLogSN)
+	gcfg := gp.Config{Kernel: c.NewKernel(prob.X.Cols()), Normalize: c.Normalize}
+	trainX := pickRows(prob.X, s.train)
+	model, err := s.fitter.atHypers(gcfg, pickRows(prob.X, s.train[:s.refitN]), s.trainY[:s.refitN], ck.RefitHyper, ck.RefitLogSN)
 	if err != nil {
 		return Result{}, fmt.Errorf("al: resume refit: %w", err)
 	}
-	for j := st.refitN; j < modelN; j++ {
-		model, err = model.UpdateWithPoint(trainX.RawRow(j), st.trainY[j])
+	for j := s.refitN; j < modelN; j++ {
+		model, err = model.UpdateWithPoint(trainX.RawRow(j), s.trainY[j])
 		if err != nil {
 			return Result{}, fmt.Errorf("al: resume update at train index %d: %w", j, err)
 		}
 	}
-	st.model = model
+	s.model = model
 
-	rng, cs := newCountingRand(ck.Seed, ck.Draws)
-	c.Seed = ck.Seed
 	obs.Emit("al.resume", map[string]any{
-		"next_iter": ck.NextIter, "train": len(st.train), "draws": ck.Draws,
+		"next_iter": ck.NextIter, "train": len(s.train), "draws": ck.Draws,
 	})
-	return runLoop(ds, part, c, rng, cs, st)
+	return drive(s, measureFunc(ds, c))
 }

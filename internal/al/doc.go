@@ -57,12 +57,16 @@
 //     the §V-B3 monitoring quantities per step.
 //   - RunOnline: the same loop against a live Oracle (§VI) instead of a
 //     recorded dataset.
+//   - Session / Problem: that one loop, stepped (Next, then Observe or
+//     Fail). Run, ResumeFrom and RunOnline drive it to completion and
+//     the serving layer steps it per observation; offline and online
+//     differ only in the Problem they hand it.
 //   - BatchSelect / BatchSelectKCenter / RunParallel: batched selection
 //     with simulated scheduler accounting (ablation A4).
 //
 // # Regressor contract
 //
-// The loop is generic over its model: Run, RunOnline and every zoo
+// The loop is generic over its model: Session and every zoo
 // strategy consume the Regressor interface — Predict / PredictBatch /
 // UpdateWithPoint / Fingerprint / NumTrain — not *gp.GP. Three tiers
 // implement it, selected by LoopConfig.Model ("dense", the default;
@@ -101,8 +105,9 @@
 //
 // # Observability
 //
-// Run and RunOnline open one "al.iteration" span per step with
-// "al.model.update", "al.score" and "al.select" children, and feed the
+// A Session opens one "al.iteration" span per step with
+// "al.model.update", "al.score", "al.select" and "al.experiment"
+// children (seed measurements get a root "al.experiment"), and feeds the
 // al.* counters; every selection increments al.strategy.select.<name>,
 // and QBC counts committee fits under al.strategy.qbc.*. See
 // OBSERVABILITY.md for the full catalog.
@@ -110,7 +115,7 @@
 // # Concurrency contract
 //
 // Strategies are stateless values and safe for concurrent use. Run,
-// RunOnline, RunParallel and the config/result structs are not
+// RunOnline, RunParallel, Session and the config/result structs are not
 // goroutine-safe: each realization owns its *rand.Rand and dataset
 // partition, so run concurrent realizations with separate arguments
 // (as al.RunBatch does internally).

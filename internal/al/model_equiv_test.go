@@ -14,7 +14,7 @@ import (
 // subsample covers all rows), the sparse tier's inducing set covers every
 // training point, and its Kmm jitter is pushed down to keep the exact
 // dense reduction inside the 1e-8 tolerance.
-func equivLoop(model string, workers int, onModel func(Regressor)) LoopConfig {
+func equivLoop(model string, workers int) LoopConfig {
 	return LoopConfig{
 		Response:     "y",
 		Strategy:     VarianceReduction{},
@@ -29,22 +29,33 @@ func equivLoop(model string, workers int, onModel func(Regressor)) LoopConfig {
 			HyperSubsample: -1,      // hyper-fit on all rows: identical RNG stream to dense
 			Jitter:         1e-13,
 		},
-		OnModel: onModel,
 	}
 }
 
 // equivRun executes one fresh loop at the given tier and scorer width,
-// collecting the per-update model fingerprints.
+// stepping its Session to collect the per-update model fingerprints.
 func equivRun(t *testing.T, ds *dataset.Dataset, part dataset.Partition, model string, workers int) (Result, []uint64) {
 	t.Helper()
-	var fps []uint64
-	cfg := equivLoop(model, workers, func(m Regressor) { fps = append(fps, m.Fingerprint()) })
+	cfg := equivLoop(model, workers)
 	cfg.Seed = 7
-	res, err := Run(ds, part, cfg, nil)
+	s, err := NewSession(datasetProblem(ds, part, cfg.Response), cfg, nil)
 	if err != nil {
-		t.Fatalf("%s run: %v", model, err)
+		t.Fatalf("%s session: %v", model, err)
 	}
-	return res, fps
+	var fps []uint64
+	for {
+		q, ok, err := s.Next()
+		if err != nil {
+			t.Fatalf("%s run: %v", model, err)
+		}
+		if m, v := s.Model(); v > len(fps) {
+			fps = append(fps, m.Fingerprint())
+		}
+		if !ok {
+			return s.Result(), fps
+		}
+		s.Observe(ds.RespAt(cfg.Response, q.Row), ds.CostAt(q.Row))
+	}
 }
 
 // TestSparseDenseLoopEquivalence extends TestSparseWithAllInducingMatchesExact
@@ -143,7 +154,7 @@ func TestSparseDenseLoopEquivalence(t *testing.T) {
 func TestAutoTierLoopRuns(t *testing.T) {
 	ds := synthDS(t, 24, 0.05, 51)
 	part := synthPartition(t, ds, 52)
-	cfg := equivLoop(ModelAuto, 1, nil)
+	cfg := equivLoop(ModelAuto, 1)
 	cfg.Seed = 9
 	res, err := Run(ds, part, cfg, nil)
 	if err != nil {
@@ -175,7 +186,7 @@ func TestSparseCheckpointResume(t *testing.T) {
 	part := synthPartition(t, ds, 62)
 	dir := t.TempDir()
 
-	base := equivLoop(ModelSparse, 1, nil)
+	base := equivLoop(ModelSparse, 1)
 	base.Iterations = 9
 	base.ReoptimizeEvery = 3 // exercises sparse UpdateWithPoint in the rebuild
 	base.Seed = 13

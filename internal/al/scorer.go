@@ -88,13 +88,10 @@ func scorePool(model Regressor, poolX *mat.Dense, workers int) []gp.Prediction {
 }
 
 // ScoreBatch evaluates the model's predictive distribution at every row
-// of xs using the same chunked worker fan-out as the loop's candidate
-// scorer (workers ≤ 0 resolves like LoopConfig.ScoreWorkers: the
-// process default, falling back to GOMAXPROCS). It exists for callers
-// outside the loop — the serving layer's batched /predict endpoint —
-// so that request-driven inference and in-loop scoring share one
-// deterministic code path. Any model tier works: dense, sparse, and
-// auto regressors are all immutable snapshots under concurrent reads.
+// of xs through the chunked worker fan-out of scorePool (workers ≤ 0
+// resolves like LoopConfig.ScoreWorkers). Candidate scoring in the loop
+// and the serving layer's /predict both go through it, so they share
+// one deterministic code path. Any model tier works.
 func ScoreBatch(model Regressor, xs *mat.Dense, workers int) []gp.Prediction {
 	return scorePool(model, xs, resolveScoreWorkers(workers))
 }

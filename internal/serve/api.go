@@ -199,7 +199,7 @@ func (s *CampaignSpec) strategy() (al.Strategy, error) {
 	return strat, nil
 }
 
-// loopConfig maps the spec onto the AL loop configuration the engine
+// loopConfig maps the spec onto the AL loop configuration the session
 // runs. response is the dataset response column ("y" for client
 // campaigns, which never read a dataset).
 func (s *CampaignSpec) loopConfig(response string) (al.LoopConfig, error) {
@@ -234,7 +234,7 @@ func (s *CampaignSpec) loopConfig(response string) (al.LoopConfig, error) {
 // failed measurement), so both fields use the NaN-safe JSON float.
 // Key is the client's idempotency key, persisted so resume rebuilds the
 // dedup index and an at-least-once client can never double-feed the
-// engine across a crash. X is the input point the observation answered
+// session across a crash. X is the input point the observation answered
 // (the suggestion's coordinates); replay ignores it, but recording it
 // makes every journal a (x, y, cost) training set for surrogate oracles
 // (internal/surrogate). Journals written before X existed load with a
@@ -247,8 +247,8 @@ type Observation struct {
 }
 
 // Suggestion is the campaign's pending next experiment: the input point
-// the engine is blocked on, fenced by a sequence number so an
-// observation can never be applied to the wrong suggestion.
+// to measure, fenced by a sequence number so an observation can never
+// be applied to the wrong suggestion.
 type Suggestion struct {
 	Seq int       `json:"seq"`
 	X   []float64 `json:"x"`

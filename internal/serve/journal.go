@@ -17,7 +17,7 @@ import (
 // rejects files written by an incompatible server.
 //
 // Version 2 is an append-only JSONL log: a header line, one line per
-// accepted observation, and (after the engine finishes) a terminal
+// accepted observation, and (once the campaign ends) a terminal
 // line. Appending one observation is one write+fsync of one line, so a
 // crash can lose at most the final, unacknowledged line — the loader
 // drops a torn tail and resumes from the last complete record, which by
@@ -127,8 +127,8 @@ type journalObs struct {
 	FP   string       `json:"fp,omitempty"`
 }
 
-// journalFinal records the engine's outcome. Resume strips it (the
-// replayed engine re-derives and re-appends it), so it is informational
+// journalFinal records the campaign's outcome. Resume strips it (the
+// replay re-derives and re-appends it), so it is informational
 // for humans and external tools reading the file.
 type journalFinal struct {
 	State     string `json:"state"`

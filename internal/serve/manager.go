@@ -51,7 +51,7 @@ type Config struct {
 	// MaxConcurrentScores bounds how many scoring operations (predict
 	// batches) run at once across ALL campaigns — the global worker-pool
 	// throttle that keeps a burst of predict requests from oversubscribing
-	// the cores the campaign engines are fitting on (default GOMAXPROCS).
+	// the cores the campaign steps are fitting on (default GOMAXPROCS).
 	MaxConcurrentScores int
 
 	// ScoreBreaker and JournalBreaker tune the circuit breakers guarding
@@ -206,7 +206,7 @@ func (m *Manager) bumpNextID(id string) {
 }
 
 // ResumeAll relaunches every campaign the store holds, in the store's
-// deterministic id order; each engine replays its journal and continues
+// deterministic id order; each campaign replays its journal and continues
 // (or finishes) from the exact interrupted state. Returns the number of
 // campaigns resumed; corrupt journals are skipped with an event rather
 // than failing the boot.
@@ -233,7 +233,7 @@ func (m *Manager) ResumeAll() (int, error) {
 }
 
 // ResumeOne loads one persisted campaign from the store and relaunches
-// it: the engine replays the journal and continues from the interrupted
+// it: the campaign replays the journal and continues from the interrupted
 // state, with the checkpoint's fingerprint pinning replay integrity.
 // Used at boot via ResumeAll and by the cluster layer when a node
 // adopts a shipped campaign after failover or migration.
@@ -310,7 +310,7 @@ func (m *Manager) List() []*Campaign {
 	return out
 }
 
-// Delete stops the campaign, waits for its engine, removes it from the
+// Delete stops the campaign, waits for it to end, removes it from the
 // manager, and deletes its journal — a deleted campaign does not come
 // back on restart.
 func (m *Manager) Delete(id string) error {
@@ -325,7 +325,7 @@ func (m *Manager) Delete(id string) error {
 	return nil
 }
 
-// Release stops the campaign, waits for its engine, and removes it from
+// Release stops the campaign, waits for it to end, and removes it from
 // the manager WITHOUT touching its journal: the campaign can be resumed
 // here later (ResumeOne) or shipped to another node and adopted there —
 // the handoff primitive behind cluster migration.
@@ -437,10 +437,9 @@ func (m *Manager) CampaignCount() (total, terminal int) {
 	return total, terminal
 }
 
-// Shutdown gracefully stops every campaign: engines unwind at their
-// next oracle interaction (client-blocked engines immediately), final
-// checkpoints flush, and actors exit. Respects ctx for the engine
-// drain.
+// Shutdown gracefully stops every campaign: parked campaigns at once,
+// campaigns with a step in flight when it publishes; final checkpoints
+// flush, and actors exit. Respects ctx for the drain.
 //
 // Shutdown is idempotent and safe to call concurrently with itself,
 // with Delete/Release, and with in-flight suggest/observe/predict
@@ -481,7 +480,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	var err error
 	for _, c := range all {
 		select {
-		case <-c.engineDone:
+		case <-c.done:
 			c.close()
 		case <-ctx.Done():
 			err = fmt.Errorf("serve: shutdown interrupted with campaign %s still draining: %w", c.ID, ctx.Err())
