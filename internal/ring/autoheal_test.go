@@ -186,10 +186,7 @@ func TestClusterAutoFailoverOwnerKill(t *testing.T) {
 		t.Fatalf("cluster healthz reports the rejoined node as %q, want alive", states[victim])
 	}
 	// The rebalanced campaign is intact on its home node.
-	if code, err := httpJSON(client, http.MethodGet, cl.URL()+"/campaigns/"+attacked, "", nil, &st); err != nil || code != http.StatusOK {
-		t.Fatalf("status of rebalanced campaign: HTTP %d, err %v", code, err)
-	}
-	expectSameTrace(t, st, refs[attacked])
+	expectSameTrace(t, statusAfterReplayHTTP(t, client, cl.URL(), attacked), refs[attacked])
 }
 
 // TestClusterAutoFencePartitionRejoin covers the false-positive the
@@ -291,11 +288,7 @@ func TestClusterAutoFencePartitionRejoin(t *testing.T) {
 	if got := cl.Router().Owner(isolated); got != cut {
 		t.Fatalf("campaign %s was not rebalanced home after rejoin: owner %s, want %s", isolated, got, cut)
 	}
-	var st serve.CampaignStatus
-	if code, err := httpJSON(client, http.MethodGet, cl.URL()+"/campaigns/"+isolated, "", nil, &st); err != nil || code != http.StatusOK {
-		t.Fatalf("status of rebalanced campaign: HTTP %d, err %v", code, err)
-	}
-	expectSameTrace(t, st, refs[isolated])
+	expectSameTrace(t, statusAfterReplayHTTP(t, client, cl.URL(), isolated), refs[isolated])
 }
 
 // TestClusterReplicationK3 runs a campaign at replication 3 (owner plus

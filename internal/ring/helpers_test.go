@@ -228,6 +228,24 @@ func waitTerminalHTTP(t *testing.T, client *http.Client, base, id string) serve.
 	}
 }
 
+// statusAfterReplayHTTP reads a campaign's status once it has left the
+// replaying state: after a rebalance the new owner replays the adopted
+// journal before it reports the campaign's real state.
+func statusAfterReplayHTTP(t *testing.T, client *http.Client, base, id string) serve.CampaignStatus {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		var st serve.CampaignStatus
+		if code, err := httpJSON(client, http.MethodGet, base+"/campaigns/"+id, "", nil, &st); err != nil || code != http.StatusOK {
+			t.Fatalf("status of campaign %s: HTTP %d, err %v", id, code, err)
+		}
+		if st.State != serve.StateReplaying || time.Now().After(deadline) {
+			return st
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // expectSameTrace compares a cluster campaign's terminal status against
 // the solo reference: identical fingerprint, observation count, and
 // bit-identical records (compared through their canonical JSON, which
@@ -257,11 +275,11 @@ func expectSameTrace(t *testing.T, got, ref serve.CampaignStatus) {
 }
 
 // leakTargets mirrors the serve package's leak checker: no campaign
-// actor, engine, or detector heartbeat goroutine may survive the
-// cluster's shutdown.
+// actor, stepping goroutine, or detector heartbeat goroutine may survive
+// the cluster's shutdown.
 var leakTargets = []string{
 	"serve.(*Campaign).actor",
-	"serve.(*Campaign).engine",
+	"serve.(*Campaign).run",
 	"ring.(*Detector).watch",
 }
 
