@@ -110,13 +110,13 @@ func TestRunParallelWallClockAdvantage(t *testing.T) {
 	}
 }
 
-// ReoptimizeEvery with the Condition fast path must not change the
+// ReoptimizeEvery with the incremental-update fast path must not change the
 // sequence of selections versus per-iteration refits with identical
 // hyperparameters frozen (sanity: conditioning is exact).
 func TestConditionFastPathConsistency(t *testing.T) {
 	d := synthDS(t, 40, 0.05, 91)
 	p := synthPartition(t, d, 92)
-	// Long reopt interval: iterations 2..6 all run through Condition.
+	// Long reopt interval: iterations 2..6 all run through UpdateWithPoint.
 	cfg := quickLoop(VarianceReduction{}, 6)
 	cfg.ReoptimizeEvery = 10
 	res, err := Run(d, p, cfg, rand.New(rand.NewSource(93)))

@@ -18,7 +18,7 @@ func (g *GP) TrainY() []float64 {
 // Augmented returns a new GP conditioned on the training data plus one
 // additional observation (x, y), keeping the current hyperparameters and
 // normalization constants and refactorizing from scratch (O(n³)). It is
-// the reference implementation that Condition (the O(n²) bordered-update
+// the reference implementation that UpdateWithPoint (the O(n²) bordered-update
 // fast path) is tested against; both support fantasy updates such as the
 // kriging-believer batch selection in package al.
 func (g *GP) Augmented(x []float64, y float64) (*GP, error) {

@@ -17,7 +17,7 @@
 //     multi-restart L-BFGS; FitCtx only threads an observability
 //     context.
 //   - GP: the fitted model — Predict/PredictBatch for the posterior,
-//     Condition for the O(n²) bordered-Cholesky online update,
+//     UpdateWithPoint for the O(n²) bordered-Cholesky online update,
 //     Augmented for the general retrain path, LMLAt for landscapes.
 //   - FitLOOCV: leave-one-out pseudo-likelihood model selection, the
 //     §III comparison the paper defers (ablation A3).
@@ -44,7 +44,7 @@
 // readers, with two exceptions: LMLAt temporarily mutates kernel
 // hyperparameters and must not race with anything, and mutating the
 // value returned by Kernel or TrainX invalidates the model. Fit,
-// Condition and Augmented construct fresh models and may run
+// UpdateWithPoint and Augmented construct fresh models and may run
 // concurrently with each other when given distinct inputs.
 //
 // A fitted *SparseGP (and the *AutoModel wrapping one) follows the same

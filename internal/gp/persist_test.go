@@ -95,7 +95,7 @@ func TestLoadedModelIsLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cond, err := back.Condition([]float64{7}, 0.5)
+	cond, err := back.UpdateWithPoint([]float64{7}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package mat provides the dense linear algebra used throughout the
 // repository: matrices, vectors, goroutine-parallel products, Cholesky /
-// LU / QR / eigen factorizations, and triangular solves. It is a
+// LU / QR factorizations, and triangular solves. It is a
 // deliberately small, stdlib-only kernel sized for Gaussian-process
 // workloads (dense symmetric positive-definite systems with a few
 // thousand unknowns) — the computational substrate behind every GP fit

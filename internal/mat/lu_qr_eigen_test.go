@@ -201,77 +201,6 @@ func TestQRRMatchesProduct(t *testing.T) {
 	matricesEqual(t, lhs, rhs, 1e-10)
 }
 
-func TestSymEigenDiagonal(t *testing.T) {
-	d := New(3, 3)
-	d.Set(0, 0, 3)
-	d.Set(1, 1, 1)
-	d.Set(2, 2, 2)
-	vals, vecs, err := SymEigen(d, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if !almostEq(vals[i], want[i], 1e-12) {
-			t.Fatalf("vals = %v", vals)
-		}
-	}
-	if vecs.Rows() != 3 {
-		t.Fatal("vecs shape")
-	}
-}
-
-func TestSymEigenReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(65))
-	a := randomSPD(rng, 10)
-	vals, vecs, err := SymEigen(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A·v_i = λ_i·v_i for each eigenpair.
-	for i := 0; i < 10; i++ {
-		v := make(Vec, 10)
-		for r := 0; r < 10; r++ {
-			v[r] = vecs.At(r, i)
-		}
-		av := a.MulVec(v)
-		for r := range av {
-			if !almostEq(av[r], vals[i]*v[r], 1e-8) {
-				t.Fatalf("eigenpair %d violated at row %d: %g vs %g", i, r, av[r], vals[i]*v[r])
-			}
-		}
-	}
-	// SPD ⇒ all eigenvalues positive, ascending order.
-	for i, v := range vals {
-		if v <= 0 {
-			t.Fatalf("non-positive eigenvalue %g", v)
-		}
-		if i > 0 && v < vals[i-1] {
-			t.Fatal("eigenvalues not ascending")
-		}
-	}
-}
-
-func TestSymEigenRejectsAsymmetric(t *testing.T) {
-	a := NewFromRows([][]float64{{1, 2}, {3, 4}})
-	if _, _, err := SymEigen(a, 0); err == nil {
-		t.Fatal("expected asymmetry error")
-	}
-}
-
-func TestEffectiveRank(t *testing.T) {
-	vals := []float64{1e-12, 1e-6, 0.5, 1}
-	if got := EffectiveRank(vals, 1e-8); got != 3 {
-		t.Fatalf("EffectiveRank = %d, want 3", got)
-	}
-	if EffectiveRank(nil, 1e-8) != 0 {
-		t.Fatal("empty should be 0")
-	}
-	if EffectiveRank([]float64{-1, 0}, 1e-8) != 0 {
-		t.Fatal("non-positive λmax should be 0")
-	}
-}
-
 func TestCholeskyExtended(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	// Build an (n+1)x(n+1) SPD matrix, factorize the leading n×n block,
