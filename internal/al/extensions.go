@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"repro/internal/gp"
-	"repro/internal/optimize"
 )
 
 // BatchSelect picks k distinct pool candidates for parallel execution
@@ -47,100 +46,4 @@ func BatchSelect(model *gp.GP, cands []Candidate, k int, strategy Strategy, rng 
 		cur = next
 	}
 	return picks, nil
-}
-
-// Criterion scores a predictive distribution for continuous selection;
-// larger is better.
-type Criterion func(p gp.Prediction) float64
-
-// VarianceCriterion is the continuous analogue of VarianceReduction.
-func VarianceCriterion(p gp.Prediction) float64 { return p.SD }
-
-// CostEfficiencyCriterion is the continuous analogue of CostEfficiency
-// (log-space variance/cost ratio).
-func CostEfficiencyCriterion(p gp.Prediction) float64 { return p.SD - p.Mean }
-
-// ContinuousSelectGrad maximizes the predictive standard deviation over a
-// continuous box by multi-start L-BFGS using the GP's analytic input-space
-// gradients ∂σ/∂x — the gradient-based continuous selection the paper's
-// §VI calls out as an important benefit for high-dimensional spaces. The
-// kernel must implement kernel.InputGradient (RBF, ARD, Matérn-5/2 and
-// their sums/products do).
-func ContinuousSelectGrad(model *gp.GP, bounds []optimize.Bounds, restarts int, rng *rand.Rand) ([]float64, float64, error) {
-	if model == nil {
-		return nil, 0, errors.New("al: ContinuousSelectGrad requires a model")
-	}
-	if len(bounds) != model.TrainX().Cols() {
-		return nil, 0, fmt.Errorf("al: %d bounds for %d input dimensions", len(bounds), model.TrainX().Cols())
-	}
-	if restarts < 1 {
-		restarts = 4
-	}
-	obj := func(x []float64, grad []float64) float64 {
-		p, _, dSD, err := model.PredictGrad(x)
-		if err != nil {
-			panic(err) // kernel capability checked below before first call
-		}
-		if grad != nil {
-			for i := range grad {
-				grad[i] = -dSD[i]
-			}
-		}
-		return -p.SD
-	}
-	// Surface capability errors eagerly instead of panicking mid-search.
-	x0 := make([]float64, len(bounds))
-	for i, b := range bounds {
-		x0[i] = 0.5 * (b.Lo + b.Hi)
-	}
-	if _, _, _, err := model.PredictGrad(x0); err != nil {
-		return nil, 0, err
-	}
-	ms := &optimize.MultiStart{
-		Opt:      &optimize.LBFGS{Bounds: bounds, MaxIter: 100},
-		Restarts: restarts,
-		Bounds:   bounds,
-	}
-	res, err := ms.Minimize(obj, x0, rng)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.X, -res.F, nil
-}
-
-// ContinuousSelect maximizes a selection criterion over a continuous box
-// instead of a finite pool — the paper's proposed extension for
-// "continuous or near-continuous parameters" (§VI). It runs multi-start
-// Nelder–Mead (the criterion surface is cheap and derivative-free search
-// avoids needing ∂σ/∂x) and returns the best input found.
-func ContinuousSelect(model *gp.GP, bounds []optimize.Bounds, crit Criterion, restarts int, rng *rand.Rand) ([]float64, float64, error) {
-	if model == nil {
-		return nil, 0, errors.New("al: ContinuousSelect requires a model")
-	}
-	if len(bounds) != model.TrainX().Cols() {
-		return nil, 0, fmt.Errorf("al: %d bounds for %d input dimensions", len(bounds), model.TrainX().Cols())
-	}
-	if crit == nil {
-		crit = VarianceCriterion
-	}
-	if restarts < 1 {
-		restarts = 4
-	}
-	obj := func(x []float64, grad []float64) float64 {
-		return -crit(model.Predict(x)) // minimize the negation
-	}
-	ms := &optimize.MultiStart{
-		Opt:      &optimize.NelderMead{Bounds: bounds, MaxIter: 400},
-		Restarts: restarts,
-		Bounds:   bounds,
-	}
-	x0 := make([]float64, len(bounds))
-	for i, b := range bounds {
-		x0[i] = 0.5 * (b.Lo + b.Hi)
-	}
-	res, err := ms.Minimize(obj, x0, rng)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.X, -res.F, nil
 }

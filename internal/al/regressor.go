@@ -114,9 +114,6 @@ func (a autoRegressor) UpdateWithPoint(x []float64, y float64) (Regressor, error
 // tests) into interface-typed surfaces like ScoreBatch.
 func WrapGP(g *gp.GP) Regressor { return denseRegressor{g} }
 
-// WrapSparseGP adapts a fitted sparse GP to the Regressor interface.
-func WrapSparseGP(s *gp.SparseGP) Regressor { return sparseRegressor{s} }
-
 // UnwrapGP returns the dense *gp.GP backing r, when there is one —
 // either a wrapped dense model or an auto model that resolved dense.
 func UnwrapGP(r Regressor) (*gp.GP, bool) {

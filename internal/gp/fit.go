@@ -118,7 +118,7 @@ func (g *GP) negLML(theta []float64, grad []float64) float64 {
 func (g *GP) optimizeHypers(ctx context.Context, rng *rand.Rand) error {
 	bounds := g.hyperBounds()
 	if len(bounds) == 0 {
-		return nil // Fixed kernel and fixed noise: nothing to do.
+		return nil // No kernel hyperparameters and fixed noise: nothing to do.
 	}
 	_, span := obs.Start(ctx, "gp.hyperopt")
 	defer span.End()

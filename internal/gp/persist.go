@@ -47,13 +47,13 @@ func kernelByName(name string, dims int) (kernel.Kernel, error) {
 	case "Periodic":
 		return kernel.NewPeriodic(1, 1, 1), nil
 	default:
-		return nil, fmt.Errorf("gp: cannot reconstruct kernel %q (composite kernels are not persistable)", name)
+		return nil, fmt.Errorf("gp: cannot reconstruct kernel %q (only the built-in kernel families are persistable)", name)
 	}
 }
 
-// Save writes the fitted model as JSON. Only primitive kernel families
-// are supported (their identity survives the Name round trip); composite
-// kernels return an error.
+// Save writes the fitted model as JSON. Only the kernel families
+// kernelByName rebuilds are supported (their identity survives the Name
+// round trip); any other kernel returns an error.
 func (g *GP) Save(w io.Writer) error {
 	if _, err := kernelByName(g.kern.Name(), g.x.Cols()); err != nil {
 		return err

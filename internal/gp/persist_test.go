@@ -48,17 +48,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// unknownKernel is an RBF under a name kernelByName cannot rebuild,
+// standing in for any kernel Save must refuse.
+type unknownKernel struct{ *kernel.RBF }
+
+func (unknownKernel) Name() string { return "Unknown" }
+
 func TestSaveRejectsCompositeKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(132))
 	x, y := sinData(rng, 6, 0.05)
-	k := kernel.NewSum(kernel.NewRBF(1, 1), kernel.NewConstant(1))
+	k := unknownKernel{kernel.NewRBF(1, 1)}
 	g, err := Fit(Config{Kernel: k, NoiseInit: 0.1}, x, y, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := g.Save(&buf); err == nil {
-		t.Fatal("expected composite-kernel error")
+		t.Fatal("expected unknown-kernel error")
 	}
 }
 

@@ -14,9 +14,10 @@
 //     space, analytic Grad per hyperparameter, and box Bounds for the
 //     optimizer.
 //   - NewRBF (Eq. 11), NewMatern32/NewMatern52, NewRationalQuadratic,
-//     NewPeriodic, NewARD (per-dimension length scales for the full
-//     3-variable model), NewConstant/NewWhite/NewLinear, and the
-//     NewSum/NewProduct/NewFixed composites.
+//     NewPeriodic, and NewARD (per-dimension length scales for the full
+//     3-variable model). The observation noise the paper adds to the RBF
+//     is not a kernel here: internal/gp carries it as its own
+//     hyperparameter.
 //   - Matrix / MatrixGrad / CrossMatrix: Gram-matrix assembly used by
 //     internal/gp's fit and predict paths.
 //

@@ -11,9 +11,8 @@ import (
 // log-hyperparameter gradient against a central finite difference at
 // h = 1e-6. Unlike the random-point check in kernel_test.go, the point
 // table deliberately includes coincident and nearly-coincident inputs
-// (where Matérn-family gradients hinge on |r| terms and White switches
-// branches) and the family table includes every constructor the package
-// exports.
+// (where Matérn-family gradients hinge on |r| terms) and the family
+// table includes every constructor the package exports.
 func TestGradGridFiniteDifferences(t *testing.T) {
 	families := []struct {
 		name string
@@ -25,12 +24,6 @@ func TestGradGridFiniteDifferences(t *testing.T) {
 		{"matern52", func(l float64) Kernel { return NewMatern52(l, 0.7) }},
 		{"rq", func(l float64) Kernel { return NewRationalQuadratic(l, 0.9, 1.7) }},
 		{"periodic", func(l float64) Kernel { return NewPeriodic(l, 1.3, 2.1) }},
-		{"constant", func(l float64) Kernel { return NewConstant(l) }},
-		{"white", func(l float64) Kernel { return NewWhite(l) }},
-		{"linear", func(l float64) Kernel { return NewLinear(l) }},
-		{"sum", func(l float64) Kernel { return NewSum(NewRBF(l, 1), NewWhite(0.3*l)) }},
-		{"product", func(l float64) Kernel { return NewProduct(NewMatern52(l, 1), NewLinear(0.8)) }},
-		{"fixed+sum", func(l float64) Kernel { return NewSum(NewFixed(NewRBF(1, 1)), NewMatern32(l, 0.9)) }},
 	}
 	lengthscales := []float64{0.05, 0.3, 1, 3, 20}
 	pairs := [][2][]float64{
@@ -98,9 +91,9 @@ func gradClose(analytic, fd float64) bool {
 	return d <= 2e-5*math.Max(math.Abs(analytic), math.Abs(fd))
 }
 
-// TestGradGridRepresentativeValues spot-checks two closed forms the
+// TestGradGridRepresentativeValues spot-checks a closed form the
 // finite-difference sweep cannot distinguish from an off-by-constant
-// error: the RBF diagonal gradient and the White diagonal.
+// error: the RBF diagonal gradient.
 func TestGradGridRepresentativeValues(t *testing.T) {
 	// RBF: k(x,x) = sf², ∂k/∂log sf = 2 sf², ∂k/∂log l = 0.
 	sf := 0.8
@@ -119,15 +112,5 @@ func TestGradGridRepresentativeValues(t *testing.T) {
 		if !almostEq(grad[p], want, 1e-12) && math.Abs(grad[p]-want) > 1e-12 {
 			t.Errorf("rbf diagonal grad %s = %g, want %g", name, grad[p], want)
 		}
-	}
-
-	// White: off-diagonal value and gradient are identically zero.
-	w := NewWhite(0.5)
-	wg := make([]float64, w.NumHyper())
-	if v := w.EvalGrad([]float64{0}, []float64{1e-12}, wg); v != 0 || wg[0] != 0 {
-		t.Errorf("white off-diagonal: value %g grad %v, want exactly 0", v, wg)
-	}
-	if v := w.EvalGrad([]float64{3}, []float64{3}, wg); !almostEq(v, 0.25, 1e-14) || !almostEq(wg[0], 0.5, 1e-14) {
-		t.Errorf("white diagonal: value %g grad %g, want 0.25 and 0.5", v, wg[0])
 	}
 }

@@ -43,11 +43,6 @@ func allKernels() []struct {
 		{NewMatern32(0.9, 1.2), 3},
 		{NewMatern52(1.7, 0.6), 3},
 		{NewRationalQuadratic(1.1, 0.9, 2.0), 3},
-		{NewConstant(0.7), 3},
-		{NewLinear(0.5), 3},
-		{NewSum(NewRBF(1, 1), NewConstant(0.3)), 3},
-		{NewProduct(NewRBF(2, 1), NewMatern32(1, 0.5)), 3},
-		{NewSum(NewProduct(NewRBF(1, 1), NewLinear(0.4)), NewMatern52(2, 1)), 3},
 	}
 }
 
@@ -221,59 +216,6 @@ func TestRQApproachesRBFForLargeAlpha(t *testing.T) {
 	}
 }
 
-func TestWhiteKernel(t *testing.T) {
-	k := NewWhite(0.5)
-	x := []float64{1, 2}
-	if got := k.Eval(x, x); !almostEq(got, 0.25, 1e-15) {
-		t.Fatalf("White k(x,x) = %g, want 0.25", got)
-	}
-	if got := k.Eval(x, []float64{1, 2.0001}); got != 0 {
-		t.Fatalf("White off-diagonal = %g, want 0", got)
-	}
-	grad := make([]float64, 1)
-	k.EvalGrad(x, []float64{9, 9}, grad)
-	if grad[0] != 0 {
-		t.Fatal("White gradient off-diagonal should be 0")
-	}
-}
-
-func TestConstantAndLinear(t *testing.T) {
-	c := NewConstant(2)
-	if got := c.Eval(nil, nil); !almostEq(got, 4, 1e-15) {
-		t.Fatalf("Constant = %g", got)
-	}
-	l := NewLinear(1)
-	if got := l.Eval([]float64{1, 2}, []float64{3, 4}); !almostEq(got, 11, 1e-15) {
-		t.Fatalf("Linear = %g", got)
-	}
-}
-
-func TestSumProductValues(t *testing.T) {
-	a := NewConstant(1) // 1
-	b := NewConstant(2) // 4
-	s := NewSum(a, b)
-	if got := s.Eval(nil, nil); !almostEq(got, 5, 1e-15) {
-		t.Fatalf("Sum = %g", got)
-	}
-	p := NewProduct(a, b)
-	if got := p.Eval(nil, nil); !almostEq(got, 4, 1e-15) {
-		t.Fatalf("Product = %g", got)
-	}
-	if s.NumHyper() != 2 || p.NumHyper() != 2 {
-		t.Fatal("composite NumHyper wrong")
-	}
-}
-
-func TestFixedHidesHyper(t *testing.T) {
-	f := NewFixed(NewRBF(1, 1))
-	if f.NumHyper() != 0 || f.Hyper() != nil || f.Bounds() != nil {
-		t.Fatal("Fixed should expose no hyperparameters")
-	}
-	if got := f.Eval([]float64{0}, []float64{0}); !almostEq(got, 1, 1e-15) {
-		t.Fatalf("Fixed Eval = %g", got)
-	}
-}
-
 func TestMatrixAndCross(t *testing.T) {
 	k := NewRBF(1, 1)
 	x := mat.NewFromRows([][]float64{{0}, {1}, {2}})
@@ -371,9 +313,6 @@ func TestInvalidConstructorsPanic(t *testing.T) {
 		func() { NewMatern32(-1, 1) },
 		func() { NewMatern52(1, 0) },
 		func() { NewRationalQuadratic(1, 1, 0) },
-		func() { NewConstant(0) },
-		func() { NewWhite(0) },
-		func() { NewLinear(-2) },
 		func() { NewARD(nil, 1) },
 		func() { NewARD([]float64{0}, 1) },
 	}

@@ -7,9 +7,7 @@ import "math"
 //	k(x, y) = σf² exp(−2 sin²(π r / p) / l²),  r = |x−y|
 //
 // θ = [log l, log σf, log p]. Useful for responses with cyclic structure
-// (e.g. performance modulated by a periodic system activity); included to
-// round out the kernel algebra for composite models like
-// Periodic × RBF (locally periodic).
+// (e.g. performance modulated by a periodic system activity).
 type Periodic struct {
 	logL, logSF, logP float64
 }

@@ -77,17 +77,3 @@ func TestPeriodicValidation(t *testing.T) {
 	}()
 	NewPeriodic(1, 1, 0)
 }
-
-func TestLocallyPeriodicComposite(t *testing.T) {
-	// Periodic × RBF: periodic correlation that decays with distance.
-	lp := NewProduct(NewPeriodic(1, 1, 1), NewRBF(5, 1))
-	x := []float64{0}
-	near := lp.Eval(x, []float64{1}) // one full period away
-	far := lp.Eval(x, []float64{10}) // ten periods away
-	if far >= near {
-		t.Fatalf("locally periodic kernel should decay: near %g, far %g", near, far)
-	}
-	if lp.NumHyper() != 5 {
-		t.Fatalf("NumHyper = %d", lp.NumHyper())
-	}
-}

@@ -164,10 +164,9 @@ func (c *Cholesky) QuadForm(b Vec) float64 {
 //	[ bᵀ c ]
 //
 // in O(n²) instead of refactorizing in O(n³): the new row of L is
-// L⁻¹b and the new pivot is √(c − |L⁻¹b|²). This is the incremental
-// update that makes online GP conditioning cheap between hyperparameter
-// refits. Returns ErrNotPositiveDefinite when the bordered matrix is not
-// SPD.
+// L⁻¹b and the new pivot is √(c − |L⁻¹b|²). TriPacked.Extended is the
+// same update on the packed factor that online GP conditioning uses.
+// Returns ErrNotPositiveDefinite when the bordered matrix is not SPD.
 func (c *Cholesky) Extended(b Vec, diag float64) (*Cholesky, error) {
 	if len(b) != c.n {
 		panic(fmt.Sprintf("mat: Extended border length %d != %d", len(b), c.n))

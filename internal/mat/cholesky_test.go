@@ -210,6 +210,49 @@ func TestCholeskyLogDet2x2Property(t *testing.T) {
 	}
 }
 
+func TestCholeskyExtended(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	// Build an (n+1)x(n+1) SPD matrix, factorize the leading n×n block,
+	// extend, and compare against the direct factorization.
+	n := 8
+	full := randomSPD(rng, n+1)
+	lead := New(n, n)
+	for i := 0; i < n; i++ {
+		copy(lead.RawRow(i), full.RawRow(i)[:n])
+	}
+	border := make(Vec, n)
+	for i := 0; i < n; i++ {
+		border[i] = full.At(i, n)
+	}
+	chLead, err := NewCholesky(lead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := chLead.Extended(border, full.At(n, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := NewCholesky(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matricesEqual(t, ext.L(), direct.L(), 1e-9)
+	if ext.Size() != n+1 {
+		t.Fatalf("Size = %d", ext.Size())
+	}
+}
+
+func TestCholeskyExtendedRejectsIndefinite(t *testing.T) {
+	ch, err := NewCholesky(Eye(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Border that makes the matrix indefinite: c < |L⁻¹b|².
+	if _, err := ch.Extended(Vec{3, 4}, 1); !errors.Is(err, ErrNotPositiveDefinite) {
+		t.Fatalf("err = %v", err)
+	}
+}
+
 func BenchmarkCholesky200(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := randomSPD(rng, 200)
@@ -237,5 +280,25 @@ func BenchmarkCholeskySolve200(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ch.SolveVec(rhs)
+	}
+}
+
+func BenchmarkCholeskyExtended200(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	a := randomSPD(rng, 200)
+	ch, err := NewCholesky(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	border := make(Vec, 200)
+	for i := range border {
+		border[i] = 0.01 * rng.NormFloat64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ch.Extended(border, 300); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

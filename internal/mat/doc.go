@@ -1,6 +1,6 @@
 // Package mat provides the dense linear algebra used throughout the
-// repository: matrices, vectors, goroutine-parallel products, Cholesky /
-// LU / QR factorizations, and triangular solves. It is a
+// repository: matrices, vectors, goroutine-parallel products, the
+// Cholesky factorization, and triangular solves. It is a
 // deliberately small, stdlib-only kernel sized for Gaussian-process
 // workloads (dense symmetric positive-definite systems with a few
 // thousand unknowns) — the computational substrate behind every GP fit
@@ -10,11 +10,13 @@
 //
 //   - Dense / Vec: row-major matrix and vector with raw-slice access for
 //     hot loops.
-//   - Cholesky: A = L·Lᵀ with SolveVec/LogDet/QuadForm, plus Extended,
-//     the O(n²) bordered update behind online GP conditioning.
-//     NewCholeskyParallel is the goroutine-parallel blocked variant for
-//     large systems; NewCholeskyJitter retries with diagonal jitter for
-//     nearly singular covariances.
+//   - Cholesky: A = L·Lᵀ with SolveVec/LogDet/QuadForm and the O(n²)
+//     bordered Extended update. NewCholeskyParallel is the
+//     goroutine-parallel blocked variant for large systems;
+//     NewCholeskyJitter retries with diagonal jitter for nearly singular
+//     covariances.
+//   - TriPacked: the packed factor a fitted GP stores. Its Extended is
+//     the bordered update behind online GP conditioning.
 //   - Mul / MulT / SyrkT / MulVec and friends: parallel products used by
 //     kernels and predictions.
 //

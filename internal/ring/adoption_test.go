@@ -88,8 +88,11 @@ func TestFailoverAdoptsFreshestReplica(t *testing.T) {
 		t.Fatalf("truncate heir replica: HTTP %d", resp.StatusCode)
 	}
 
-	if err := cl.KillAndFailover(owner); err != nil {
-		t.Fatalf("kill+failover (%s): %v", owner, err)
+	if err := cl.Kill(owner); err != nil {
+		t.Fatalf("kill (%s): %v", owner, err)
+	}
+	if err := cl.Router().Failover(owner); err != nil {
+		t.Fatalf("failover (%s): %v", owner, err)
 	}
 	if got := cl.Router().Owner(id); got != heir {
 		t.Fatalf("after failover the campaign is on %s, want the heir %s", got, heir)

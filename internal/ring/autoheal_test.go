@@ -84,7 +84,7 @@ func clusterHealthz(t *testing.T, client *http.Client, base string) (epoch uint6
 
 // TestClusterAutoFailoverOwnerKill is the autonomous acceptance
 // scenario: kill a campaign owner mid-run and touch nothing — no
-// Failover call, no KillAndFailover. The detector's suspicion crosses
+// Failover call. The detector's suspicion crosses
 // the dead threshold, the router fails the node over on its own, the
 // follower resumes with every acknowledged observation, and all
 // campaigns finish with the exact reference trace. Then the node
@@ -346,8 +346,11 @@ func TestClusterReplicationK3(t *testing.T) {
 
 	// First owner loss: the ring remaps the campaign onto a node already
 	// holding its replica.
-	if err := cl.KillAndFailover(owner); err != nil {
-		t.Fatalf("first kill+failover (%s): %v", owner, err)
+	if err := cl.Kill(owner); err != nil {
+		t.Fatalf("first kill (%s): %v", owner, err)
+	}
+	if err := cl.Router().Failover(owner); err != nil {
+		t.Fatalf("first failover (%s): %v", owner, err)
 	}
 	var st serve.CampaignStatus
 	if code, err := httpJSON(client, http.MethodGet, cl.URL()+"/campaigns/"+id, "", nil, &st); err != nil || code != http.StatusOK {
@@ -363,8 +366,11 @@ func TestClusterReplicationK3(t *testing.T) {
 	if second == owner {
 		t.Fatalf("campaign still placed on the dead node %s", owner)
 	}
-	if err := cl.KillAndFailover(second); err != nil {
-		t.Fatalf("second kill+failover (%s): %v", second, err)
+	if err := cl.Kill(second); err != nil {
+		t.Fatalf("second kill (%s): %v", second, err)
+	}
+	if err := cl.Router().Failover(second); err != nil {
+		t.Fatalf("second failover (%s): %v", second, err)
 	}
 	if code, err := httpJSON(client, http.MethodGet, cl.URL()+"/campaigns/"+id, "", nil, &st); err != nil || code != http.StatusOK {
 		t.Fatalf("status after second failover: HTTP %d, err %v", code, err)

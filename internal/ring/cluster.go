@@ -262,15 +262,6 @@ func (c *Cluster) Kill(id string) error {
 	return nil
 }
 
-// KillAndFailover kills the node and immediately fails its campaigns
-// over to their followers.
-func (c *Cluster) KillAndFailover(id string) error {
-	if err := c.Kill(id); err != nil {
-		return err
-	}
-	return c.router.Failover(id)
-}
-
 // Restart boots a previously killed node again: a fresh Node with the
 // same identity and checkpoint dir on a new listener, then a router
 // Rejoin — the node is reconciled, readmitted at a new epoch, and

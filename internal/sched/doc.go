@@ -1,9 +1,10 @@
 // Package sched simulates the SLURM batch environment the paper used to
 // run HPGMG-FE job sweeps (§IV): a discrete-event scheduler over a
 // fixed pool of nodes, FIFO with optional EASY backfill, producing
-// per-job accounting records equivalent to `sacct` output. The batched
-// AL ablation (A4) runs its selected experiments through this scheduler
-// to account for queueing cost, the §VI scheduling concern.
+// per-job accounting records equivalent to `sacct` output. Only
+// hpgmg.RunThroughScheduler drives it, and only tests call that: the
+// dataset generators (hpgmg.GeneratePerformance/GeneratePower) and the
+// batched AL ablation (A4) run their jobs without a scheduler.
 //
 // # Key types
 //
@@ -13,7 +14,7 @@
 //     estimate and an exactly-once Run callback producing the actual
 //     runtime.
 //   - Record / Drain: the accounting rows (submit/start/end, state
-//     COMPLETED or TIMEOUT) the dataset layer consumes.
+//     COMPLETED or TIMEOUT).
 //   - Utilization / PeakCoresInUse / WaitStats: post-hoc queue
 //     analytics over a drained record set.
 //
@@ -29,6 +30,5 @@
 //
 // A *Scheduler is single-threaded simulation state: Submit and Drain
 // must not be called concurrently. Distinct Scheduler instances are
-// independent and may run in parallel (as the A4 ablation does per
-// strategy).
+// independent and may run in parallel.
 package sched
