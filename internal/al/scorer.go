@@ -62,28 +62,13 @@ func scorePool(model Regressor, poolX *mat.Dense, workers int) []gp.Prediction {
 	if workers < 2 || m < minParallelScore {
 		return model.PredictBatch(poolX)
 	}
-	if workers > m {
-		workers = m
-	}
 	scoreParallel.Inc()
 	out := make([]gp.Prediction, m)
-	chunk := (m + workers - 1) / workers
-	var wg sync.WaitGroup
-	cols := poolX.Cols()
-	raw := poolX.Raw()
-	for lo := 0; lo < m; lo += chunk {
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			sub := mat.NewFromData(hi-lo, cols, raw[lo*cols:hi*cols])
-			copy(out[lo:hi], model.PredictBatch(sub))
-		}(lo, hi)
-	}
-	wg.Wait()
+	cols, raw := poolX.Cols(), poolX.Raw()
+	parChunks(m, workers, func(lo, hi int) {
+		sub := mat.NewFromData(hi-lo, cols, raw[lo*cols:hi*cols])
+		copy(out[lo:hi], model.PredictBatch(sub))
+	})
 	return out
 }
 
@@ -98,11 +83,12 @@ func ScoreBatch(model Regressor, xs *mat.Dense, workers int) []gp.Prediction {
 
 // parChunks splits [0, n) into contiguous chunks across workers and runs
 // fn on each concurrently; fn must only write state owned by its own
-// index range. Serial when workers < 2 or n is small.
-func parChunks(n, workers int, fn func(lo, hi int)) {
+// index range. Serial when workers < 2 or n is small; reports whether
+// it fanned out.
+func parChunks(n, workers int, fn func(lo, hi int)) bool {
 	if workers < 2 || n < minParallelScore {
 		fn(0, n)
-		return
+		return false
 	}
 	if workers > n {
 		workers = n
@@ -121,4 +107,5 @@ func parChunks(n, workers int, fn func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
+	return true
 }

@@ -19,6 +19,10 @@
 //   - GP: the fitted model — Predict/PredictBatch for the posterior,
 //     UpdateWithPoint for the O(n²) bordered-Cholesky online update,
 //     Augmented for the general retrain path, LMLAt for landscapes.
+//   - PoolPosterior: a per-candidate posterior cache over a fixed
+//     candidate matrix that follows UpdateWithPoint in O(n) per
+//     candidate, bit-identical to PredictBatch — the AL session's
+//     scorer for dense models.
 //   - FitLOOCV: leave-one-out pseudo-likelihood model selection, the
 //     §III comparison the paper defers (ablation A3).
 //   - SparseGP / FitSparse / FitSparseHyper: the inducing-point model
@@ -31,8 +35,8 @@
 // # Observability
 //
 // Fits open "gp.fit" spans (with a "gp.hyperopt" child covering the
-// optimizer); gp.lml.evals, gp.condition.ops and gp.predict.* count the
-// high-frequency work. The sparse tier counts gp.sparse.fit.count and
+// optimizer); gp.lml.evals, gp.condition.ops, gp.predict.* and
+// gp.pool.rows.* count the high-frequency work. The sparse tier counts gp.sparse.fit.count and
 // its three update paths (gp.sparse.update.rank1 / .grow / .refit) and
 // gauges gp.sparse.inducing; AutoModel counts its tier picks under
 // gp.automodel.*. See OBSERVABILITY.md.
@@ -45,7 +49,9 @@
 // hyperparameters and must not race with anything, and mutating the
 // value returned by Kernel or TrainX invalidates the model. Fit,
 // UpdateWithPoint and Augmented construct fresh models and may run
-// concurrently with each other when given distinct inputs.
+// concurrently with each other when given distinct inputs. A
+// PoolPosterior is not a snapshot: it updates its rows as it predicts,
+// so concurrent Predict calls must list disjoint rows.
 //
 // A fitted *SparseGP (and the *AutoModel wrapping one) follows the same
 // immutable-snapshot contract: every exported query method is

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 
 	"repro/internal/kernel"
 	"repro/internal/mat"
@@ -121,7 +122,16 @@ type GP struct {
 	alpha  mat.Vec        // Ky⁻¹ y
 	lml    float64        // log marginal likelihood at the fitted hypers
 	jitter float64        // jitter actually added to make Ky PD
+
+	// id names this model's factor; parent is the id of the model whose
+	// factor chol extends by one bordered row (UpdateWithPoint), 0 when
+	// chol was factorized from scratch. PoolPosterior keys its cached
+	// rows on them.
+	id, parent uint64
 }
+
+// factorIDs issues GP.id values; 0 is never issued.
+var factorIDs atomic.Uint64
 
 // ErrNoData is returned when Fit is called without observations.
 var ErrNoData = errors.New("gp: no training data")
@@ -272,6 +282,7 @@ func (g *GP) factorize() error {
 	// snapshot, and half the clone cost of every bordered Extended
 	// update in the incremental conditioning path.
 	g.chol = mat.PackCholesky(ch)
+	g.id, g.parent = factorIDs.Add(1), 0
 	g.jitter = jit
 	g.alpha = ch.SolveVec(g.y)
 	g.lml = -0.5*mat.Dot(g.y, g.alpha) - 0.5*ch.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)

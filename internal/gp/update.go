@@ -76,6 +76,7 @@ func (g *GP) UpdateWithPoint(x []float64, y float64) (*GP, error) {
 	}
 	updateIncremental.Inc()
 	out.chol = ext
+	out.id, out.parent = factorIDs.Add(1), g.id
 	out.alpha = ext.SolveVec(ny)
 	out.lml = -0.5*mat.Dot(ny, out.alpha) - 0.5*ext.LogDet() -
 		0.5*float64(n+1)*math.Log(2*math.Pi)

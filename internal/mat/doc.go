@@ -16,7 +16,8 @@
 //     NewCholeskyJitter retries with diagonal jitter for nearly singular
 //     covariances.
 //   - TriPacked: the packed factor a fitted GP stores. Its Extended is
-//     the bordered update behind online GP conditioning.
+//     the bordered update behind online GP conditioning, and
+//     ForwardSubstLast extends a triangular solve by that bordered row.
 //   - Mul / MulT / SyrkT / MulVec and friends: parallel products used by
 //     kernels and predictions.
 //

@@ -83,6 +83,23 @@ func (t *TriPacked) ForwardSubst(b Vec) Vec {
 	return y
 }
 
+// ForwardSubstLast returns the last entry of the solution of L·y = b,
+// given the first n−1 entries y and the last entry bn of b. It is the
+// final step of ForwardSubstInto, in the same operation order, so a
+// solution grown one bordered row at a time (see Extended) equals the
+// one solved from scratch bit for bit.
+func (t *TriPacked) ForwardSubstLast(y Vec, bn float64) float64 {
+	if len(y) != t.n-1 {
+		panic(fmt.Sprintf("mat: TriPacked ForwardSubstLast prefix length %d != %d", len(y), t.n-1))
+	}
+	row := t.row(t.n - 1)
+	s := bn
+	for k, yk := range y {
+		s -= row[k] * yk
+	}
+	return s / row[t.n-1]
+}
+
 // BackSubstTInPlace solves Lᵀ·x = y in place.
 func (t *TriPacked) BackSubstTInPlace(y Vec) {
 	if len(y) != t.n {

@@ -129,6 +129,38 @@ func TestTriPackedExtended(t *testing.T) {
 	}
 }
 
+// TestForwardSubstLastBitIdentical: growing a solution one row at a time
+// through bordered factors must give exactly the full solve's entries.
+func TestForwardSubstLastBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const n = 20
+	big := randomSPD(rng, n)
+	b := make(Vec, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	c, err := NewCholesky(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := PackCholesky(c).ForwardSubst(b)
+	for k := 1; k <= n; k++ {
+		sub := New(k, k)
+		for i := 0; i < k; i++ {
+			for j := 0; j < k; j++ {
+				sub.Set(i, j, big.At(i, j))
+			}
+		}
+		ck, err := NewCholesky(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := PackCholesky(ck).ForwardSubstLast(want[:k-1], b[k-1]); got != want[k-1] {
+			t.Fatalf("k=%d: ForwardSubstLast = %v, ForwardSubst entry %v", k, got, want[k-1])
+		}
+	}
+}
+
 // TestSyrkTBlockedBitIdentical: the cache-blocked aᵀa must match the
 // unblocked kernel bit for bit (same k-ascending accumulation order) —
 // the property that lets the sparse fit swap it in without perturbing

@@ -618,22 +618,24 @@ type shippingAppender struct {
 	idx int
 	// needSync marks followers that must get a full replica sync before
 	// their next ship — set after a failed ship, sync, or header
-	// establishment so a lagging follower is healed on the next append
-	// instead of drifting.
+	// establishment, and on followers that acked a record the local
+	// append then failed to journal, so a lagging or diverged follower
+	// is healed on the next append instead of drifting.
 	needSync map[string]bool
 }
 
-// replicate ships line as record a.idx to every follower and advances
-// the index once a quorum of one has acknowledged it. A gap rejection
-// (follower missing records: new follower after a membership change, or
-// a reconciled one) heals with a full sync and one retry. Returns nil
-// when the cluster has no follower to ship to.
-func (a *shippingAppender) replicate(line []byte) error {
+// replicate ships line as record a.idx to every follower and returns
+// the followers that acknowledged it, failing only when none did (a
+// quorum of one). A gap rejection (follower missing records: new
+// follower after a membership change, or a reconciled one) heals with a
+// full sync and one retry. The index stays put until commit: with no
+// follower to ship to, replicate returns nothing and no error.
+func (a *shippingAppender) replicate(line []byte) ([]string, error) {
 	fols := a.node.followerList(a.id)
 	if len(fols) == 0 {
-		return nil
+		return nil, nil
 	}
-	acked := 0
+	var acked []string
 	var firstErr error
 	for _, f := range fols {
 		if err := a.shipOne(f, line); err != nil {
@@ -644,11 +646,26 @@ func (a *shippingAppender) replicate(line []byte) error {
 			}
 			continue
 		}
-		acked++
+		acked = append(acked, f.ID)
 	}
-	if acked == 0 {
+	if len(acked) == 0 {
 		ringShipErrors.Inc()
-		return firstErr
+		return nil, firstErr
+	}
+	return acked, nil
+}
+
+// commit settles record a.idx after the local append returned err. On
+// success the index advances, so it keeps equal to the local journal's
+// line count. On failure the followers in acked hold a record the owner
+// never journaled: they are marked for a full resync, which replaces
+// their image with the owner's before the next ship at the same index.
+func (a *shippingAppender) commit(acked []string, err error) error {
+	if err != nil {
+		for _, id := range acked {
+			a.needSync[id] = true
+		}
+		return err
 	}
 	a.idx++
 	return nil
@@ -749,22 +766,24 @@ func (a *shippingAppender) AppendObs(o serve.Observation, mv int, fp uint64) err
 	if err != nil {
 		return err
 	}
-	if err := a.replicate(line); err != nil {
+	acked, err := a.replicate(line)
+	if err != nil {
 		return err
 	}
-	return a.local.AppendObs(o, mv, fp)
+	return a.commit(acked, a.local.AppendObs(o, mv, fp))
 }
 
 // AppendFinal implements serve.Appender. The terminal line is
 // best-effort upstream (it is informational; resume strips it), so a
 // replication failure here does not block the local append.
 func (a *shippingAppender) AppendFinal(state, errMsg string, converged bool, mv int, fp uint64) error {
+	var acked []string
 	if line, err := serve.EncodeJournalFinal(state, errMsg, converged, mv, fp); err == nil {
-		if err := a.replicate(line); err != nil {
+		if acked, err = a.replicate(line); err != nil {
 			obs.Emit("ring.ship.final.failed", map[string]any{"node": a.node.ID, "campaign": a.id, "err": err.Error()})
 		}
 	}
-	return a.local.AppendFinal(state, errMsg, converged, mv, fp)
+	return a.commit(acked, a.local.AppendFinal(state, errMsg, converged, mv, fp))
 }
 
 // Disable implements serve.Appender.

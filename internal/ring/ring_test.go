@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -342,5 +344,87 @@ func TestRingFollowerSetMinimalRemap(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// failOnceStore issues appenders whose first AppendObs fails: a local
+// journal write that breaks after the followers already acked the
+// shipped record.
+type failOnceStore struct{ serve.Store }
+
+func (s failOnceStore) Create(id string, spec serve.CampaignSpec) (serve.Appender, error) {
+	app, err := s.Store.Create(id, spec)
+	if err != nil {
+		return nil, err
+	}
+	return &failOnceAppender{Appender: app}, nil
+}
+
+type failOnceAppender struct {
+	serve.Appender
+	failed bool
+}
+
+func (a *failOnceAppender) AppendObs(o serve.Observation, mv int, fp uint64) error {
+	if !a.failed {
+		a.failed = true
+		return errors.New("injected local append failure")
+	}
+	return a.Appender.AppendObs(o, mv, fp)
+}
+
+// TestShipLocalAppendFailureKeepsReplicaInSync: when the local append
+// fails after a follower acked the shipped record, the client's retry of
+// the same observation must not land on the follower a second time —
+// failover adopts the longest replica image, so a follower holding an
+// unacknowledged duplicate would resume the campaign with it. After the
+// failed append and the retried one, the follower's replica equals the
+// owner's journal byte for byte.
+func TestShipLocalAppendFailureKeepsReplicaInSync(t *testing.T) {
+	owner := NewNode(NodeConfig{ID: "n1", Serve: serve.Config{Store: failOnceStore{serve.NewMemStore()}}})
+	defer owner.Manager().Shutdown(context.Background())
+	follower := NewNode(NodeConfig{ID: "n2"})
+	defer follower.Manager().Shutdown(context.Background())
+	ownerSrv, folSrv := httptest.NewServer(owner), httptest.NewServer(follower)
+	defer ownerSrv.Close()
+	defer folSrv.Close()
+	m := Membership{Epoch: 1, Members: []Member{{ID: "n1", URL: ownerSrv.URL}, {ID: "n2", URL: folSrv.URL}}}
+	for _, n := range []*Node{owner, follower} {
+		if err := n.InstallMembership(m); err != nil {
+			t.Fatalf("install on %s: %v", n.ID, err)
+		}
+	}
+
+	store := &shippingStore{node: owner, inner: owner.inner}
+	const id = "c000001"
+	app, err := store.Create(id, clientSpec(1))
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	defer app.Close()
+	o := serve.Observation{X: []float64{0.5}, Y: 1, Cost: 1}
+	if err := app.AppendObs(o, 1, 42); err == nil {
+		t.Fatal("AppendObs succeeded although the local append failed")
+	}
+	if err := app.AppendObs(o, 1, 42); err != nil {
+		t.Fatalf("retried AppendObs: %v", err)
+	}
+
+	want, err := owner.inner.Export(id)
+	if err != nil {
+		t.Fatalf("owner export: %v", err)
+	}
+	resp, err := http.Get(folSrv.URL + "/internal/replica/" + id)
+	if err != nil {
+		t.Fatalf("replica GET: %v", err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("replica GET: HTTP %d, err %v", resp.StatusCode, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("follower replica (%d lines) differs from the owner's journal (%d lines):\nfollower:\n%s\nowner:\n%s",
+			bytes.Count(got, []byte("\n")), bytes.Count(want, []byte("\n")), got, want)
 	}
 }
