@@ -256,6 +256,9 @@ func ResumeFrom(ds *dataset.Dataset, part dataset.Partition, cfg LoopConfig, ck 
 	if err != nil {
 		return Result{}, err
 	}
+	if err := checkPool(ck.Pool, prob.X.Rows()); err != nil {
+		return Result{}, err
+	}
 	s.rng, s.cs = newCountingRand(ck.Seed, ck.Draws)
 	s.pool = append(make([]int, 0, len(ck.Pool)), ck.Pool...)
 	s.cumCost = ck.CumCost

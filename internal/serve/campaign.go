@@ -91,8 +91,8 @@ type Campaign struct {
 	// sess, published and the resume pin belong to whichever goroutine
 	// runs the current step. Steps never overlap: the actor starts a
 	// client step only when an observation answers the suggestion the
-	// previous step published. resumeFP is 0 when there is no pin left
-	// to verify.
+	// previous step published; finish, on the actor, drops sess once no
+	// step can follow. resumeFP is 0 when there is no pin left to verify.
 	sess          *al.Session
 	published     int // records of sess already handed to the actor
 	resumeVersion int
@@ -370,6 +370,10 @@ func (c *Campaign) measure(st *campaignState, x []float64) Observation {
 func (c *Campaign) finish(st *campaignState, state string, err error) {
 	st.state, st.err = state, err
 	st.pending = nil
+	// No step runs after this one, and the actor state holds the
+	// published model: a terminal campaign keeps no session (and no
+	// candidate cache) for as long as the manager keeps it.
+	c.sess = nil
 	switch state {
 	case StateDone:
 		campaignsDone.Inc()

@@ -200,6 +200,41 @@ func TestClientCampaignTraceMatchesRunOnline(t *testing.T) {
 	}
 }
 
+// TestTerminalCampaignDropsSession: the manager keeps a terminal
+// campaign until it is deleted, so the campaign lets go of its session
+// (and the session's candidate cache) when it ends — done, or stopped
+// while parked on a suggestion.
+func TestTerminalCampaignDropsSession(t *testing.T) {
+	defer checkLeaked(t)
+	mgr := NewManager(Config{})
+	defer mgr.Shutdown(context.Background())
+	done, err := mgr.Create(clientSpec(7))
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	driveCampaign(t, done, 0)
+	if st := waitTerminal(t, done); st.State != StateDone {
+		t.Fatalf("campaign ended %s, want done", st.State)
+	}
+	if done.sess != nil {
+		t.Fatal("a done campaign kept its session")
+	}
+
+	parked, err := mgr.Create(clientSpec(8))
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	driveCampaign(t, parked, 3)
+	for _, err := parked.Suggest(); err != nil; _, err = parked.Suggest() {
+		time.Sleep(time.Millisecond)
+	}
+	parked.Stop()
+	parked.Wait()
+	if parked.sess != nil {
+		t.Fatal("a campaign stopped while parked kept its session")
+	}
+}
+
 func TestDatasetCampaignMatchesRunOnline(t *testing.T) {
 	spec := CampaignSpec{
 		Source:     "dataset",
